@@ -51,10 +51,42 @@ class ResourceVector(Mapping[str, float]):
                 merged[name] = value
         self._amounts: Dict[str, float] = merged
 
+    @classmethod
+    def _trusted(cls, amounts: Dict[str, float]) -> "ResourceVector":
+        """Wrap ``amounts`` without copying or re-validating it.
+
+        Only for dicts the caller has just built from validated vectors
+        by operations that cannot produce a negative float: the sum of two
+        non-negative amounts, ``max(0.0, a - b)`` or a product with a
+        non-negative factor. The vector takes ownership of the dict.
+        """
+        vector = cls.__new__(cls)
+        vector._amounts = amounts
+        return vector
+
     # -- Mapping interface -------------------------------------------------
+    #
+    # ``get``/``items``/``keys``/``values``/``in`` delegate to the internal
+    # dict: the ``Mapping`` mixins would route every lookup through
+    # ``__getitem__`` and a caught ``KeyError``.
 
     def __getitem__(self, name: str) -> float:
         return self._amounts[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._amounts
+
+    def get(self, name: str, default=None):
+        return self._amounts.get(name, default)
+
+    def keys(self):
+        return self._amounts.keys()
+
+    def items(self):
+        return self._amounts.items()
+
+    def values(self):
+        return self._amounts.values()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._amounts)
@@ -83,10 +115,13 @@ class ResourceVector(Mapping[str, float]):
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        names = set(self._amounts) | set(other._amounts)
-        return ResourceVector(
-            {n: self.get(n, 0.0) + other.get(n, 0.0) for n in names}
-        )
+        mine = self._amounts
+        theirs = other._amounts
+        total = {n: a + theirs.get(n, 0.0) for n, a in mine.items()}
+        for n, b in theirs.items():
+            if n not in total:
+                total[n] = 0.0 + b
+        return ResourceVector._trusted(total)
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         """Component-wise difference, clamped at zero.
@@ -97,17 +132,22 @@ class ResourceVector(Mapping[str, float]):
         """
         if not isinstance(other, ResourceVector):
             return NotImplemented
-        names = set(self._amounts) | set(other._amounts)
-        return ResourceVector(
-            {n: max(0.0, self.get(n, 0.0) - other.get(n, 0.0)) for n in names}
-        )
+        mine = self._amounts
+        theirs = other._amounts
+        rest = {n: max(0.0, a - theirs.get(n, 0.0)) for n, a in mine.items()}
+        for n, b in theirs.items():
+            if n not in rest:
+                rest[n] = max(0.0, 0.0 - b)
+        return ResourceVector._trusted(rest)
 
     def __mul__(self, factor: Number) -> "ResourceVector":
         if not isinstance(factor, (int, float)):
             return NotImplemented
         if factor < 0:
             raise ValueError("cannot scale a resource vector by a negative factor")
-        return ResourceVector({n: v * factor for n, v in self._amounts.items()})
+        return ResourceVector._trusted(
+            {n: float(v * factor) for n, v in self._amounts.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -121,6 +161,8 @@ class ResourceVector(Mapping[str, float]):
         availability names but the requirement omits are treated as zero
         requirements.
         """
+        if isinstance(availability, ResourceVector):
+            availability = availability._amounts
         for name, required in self._amounts.items():
             if required > 0 and required > availability.get(name, 0.0):
                 return False
@@ -139,9 +181,16 @@ class ResourceVector(Mapping[str, float]):
         CPU amounts are rescaled by a device's relative speed while memory
         amounts are untouched.
         """
-        return ResourceVector(
-            {n: v * factors.get(n, 1.0) for n, v in self._amounts.items()}
-        )
+        scaled: Dict[str, float] = {}
+        for name, amount in self._amounts.items():
+            raw = amount * factors.get(name, 1.0)
+            value = float(raw)
+            if value < 0:
+                raise ValueError(
+                    f"resource amounts must be non-negative, got {name}={raw}"
+                )
+            scaled[name] = value
+        return ResourceVector._trusted(scaled)
 
     def names(self) -> Iterable[str]:
         """Return the resource names present in the vector."""
@@ -153,11 +202,20 @@ class ResourceVector(Mapping[str, float]):
 
     @staticmethod
     def sum(vectors: Iterable["ResourceVector"]) -> "ResourceVector":
-        """Sum a collection of vectors (Definition 3.1 over the collection)."""
-        total = ResourceVector()
+        """Sum a collection of vectors (Definition 3.1 over the collection).
+
+        Accumulates into one dict: per name, the same left-to-right chain
+        of ``+`` that folding ``ZERO + v1 + v2 + ...`` would evaluate.
+        """
+        total: Dict[str, float] = {}
         for v in vectors:
-            total = total + v
-        return total
+            if not isinstance(v, ResourceVector):
+                raise TypeError(
+                    f"can only sum ResourceVectors, got {type(v).__name__}"
+                )
+            for n, a in v._amounts.items():
+                total[n] = total.get(n, 0.0) + a
+        return ResourceVector._trusted(total)
 
 
 ZERO = ResourceVector()

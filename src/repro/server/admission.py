@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.composition.composer import CompositionRequest
 from repro.distribution.pareto import (
@@ -66,14 +66,23 @@ class OverloadPolicy:
     forecast_horizon_s: Optional[float] = None
 
     def should_shed(
-        self, queue_depth: int, queue_capacity: int, utilization: float
+        self,
+        queue_depth: int,
+        queue_capacity: int,
+        utilization: Callable[[], float],
     ) -> bool:
+        """Shed when the queue is past high water *and* the domain is full.
+
+        ``utilization`` is only called once occupancy has reached
+        ``queue_high_water``: below the mark the answer is already "no",
+        and reading ledger utilization walks every device.
+        """
         if queue_capacity <= 0:
             return True
         occupancy = queue_depth / queue_capacity
         return (
             occupancy >= self.queue_high_water
-            and utilization >= self.utilization_threshold
+            and utilization() >= self.utilization_threshold
         )
 
     def retry_after_s(self, queue_depth: int) -> float:

@@ -35,13 +35,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.distribution.fit import CandidateDevice, DistributionEnvironment
-from repro.domain.device import ResourceAllocation
+from repro.domain.device import Device, ResourceAllocation
 from repro.domain.domain import DomainServer
 from repro.graph.cuts import Assignment
 from repro.graph.service_graph import ServiceGraph
 from repro.network.topology import BandwidthReservation
 from repro.observability.tracing import get_tracer
-from repro.resources.vectors import ResourceVector
+from repro.resources.vectors import ZERO, ResourceVector
 from repro.store.records import LedgerEvent, LedgerEventKind
 
 
@@ -252,8 +252,7 @@ class ReservationLedger:
             if not device.online:
                 conflicts.append(f"device {device_id!r} is offline")
                 continue
-            pending = self._pending_device.get(device_id, ResourceVector())
-            if not load.fits_within(device.available() - pending):
+            if not load.fits_within(self._net_available(device)):
                 conflicts.append(
                     f"device {device_id!r}: load {dict(load)!r} exceeds "
                     f"effective availability"
@@ -278,7 +277,7 @@ class ReservationLedger:
         txn.device_holds = loads
         txn.link_holds = links
         for device_id, load in loads.items():
-            current = self._pending_device.get(device_id, ResourceVector())
+            current = self._pending_device.get(device_id, ZERO)
             self._pending_device[device_id] = current + load
         for pair, demand in links.items():
             self._pending_link[pair] = (
@@ -432,14 +431,9 @@ class ReservationLedger:
             devices = {
                 d.device_id: d for d in self.server.available_devices()
             }
-            pending_device = dict(self._pending_device)
             pending_link = dict(self._pending_link)
             candidates = [
-                CandidateDevice(
-                    device_id,
-                    device.available()
-                    - pending_device.get(device_id, ResourceVector()),
-                )
+                CandidateDevice(device_id, self._net_available(device))
                 for device_id, device in devices.items()
             ]
         topology = self.server.network
@@ -459,15 +453,13 @@ class ReservationLedger:
         with self._lock:
             worst = 0.0
             for device in self.server.available_devices():
-                pending = self._pending_device.get(
-                    device.device_id, ResourceVector()
-                )
-                used = device.allocated + pending
-                for name in device.capacity.names():
-                    cap = device.capacity[name]
+                allocated = device.allocated
+                pending = self._pending_device.get(device.device_id, ZERO)
+                for name, cap in device.capacity.items():
                     if cap <= 0:
                         continue
-                    worst = max(worst, min(1.0, used.get(name, 0.0) / cap))
+                    used = allocated.get(name, 0.0) + pending.get(name, 0.0)
+                    worst = max(worst, min(1.0, used / cap))
             return worst
 
     # -- invariants ---------------------------------------------------------------
@@ -493,7 +485,7 @@ class ReservationLedger:
                 if txn.state is not TransactionState.COMMITTED:
                     continue
                 for device_id, load in txn.device_holds.items():
-                    current = committed.get(device_id, ResourceVector())
+                    current = committed.get(device_id, ZERO)
                     committed[device_id] = current + load
             for device_id, total in sorted(committed.items()):
                 try:
@@ -546,11 +538,22 @@ class ReservationLedger:
             demand[key] = demand.get(key, 0.0) + mbps
         return demand
 
+    def _net_available(self, device: Device) -> ResourceVector:
+        """``device.available()`` minus the device's pending holds.
+
+        ``available()`` is already clamped at ``+0.0``, so a device
+        without holds needs no ``- ZERO`` pass: it would return the same
+        floats.
+        """
+        available = device.available()
+        pending = self._pending_device.get(device.device_id)
+        if pending is None:
+            return available
+        return available - pending
+
     def _drop_pending(self, txn: ReservationTransaction) -> None:
         for device_id, load in txn.device_holds.items():
-            remaining = self._pending_device.get(
-                device_id, ResourceVector()
-            ) - load
+            remaining = self._pending_device.get(device_id, ZERO) - load
             if remaining.is_zero():
                 self._pending_device.pop(device_id, None)
             else:

@@ -161,7 +161,7 @@ class DomainConfigurationService:
             priority=request.priority,
             deadline_s=request.deadline_s,
             shed_if=lambda depth: self.overload.should_shed(
-                depth, self.queue.capacity, self.ledger.utilization()
+                depth, self.queue.capacity, self.ledger.utilization
             ),
         )
         if result.item is None:

@@ -21,7 +21,7 @@ restarted service can tell its own sessions from a dead predecessor's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 
 class SessionStatus:
@@ -125,13 +125,13 @@ class LedgerEvent:
 
     @staticmethod
     def pack_devices(
-        holds: Dict[str, object]
+        holds: Dict[str, Mapping[str, float]]
     ) -> Tuple[Tuple[str, Tuple[Tuple[str, float], ...]], ...]:
         """Canonical tuple form of a ``{device: ResourceVector}`` mapping."""
         packed = []
         for device_id in sorted(holds):
             vector = holds[device_id]
-            items = tuple(sorted((str(k), float(v)) for k, v in dict(vector).items()))
+            items = tuple(sorted((str(k), float(v)) for k, v in vector.items()))
             packed.append((device_id, items))
         return tuple(packed)
 

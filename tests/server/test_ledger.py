@@ -1,8 +1,14 @@
 """Unit tests for the transactional reservation ledger."""
 
+import random
+
 import pytest
 
+from repro.domain.device import Device, DeviceClass
+from repro.domain.space import SmartSpace
 from repro.graph.cuts import Assignment
+from repro.graph.service_graph import ServiceComponent, ServiceEdge, ServiceGraph
+from repro.network.links import LinkClass
 from repro.resources.vectors import ResourceVector
 from repro.server.ledger import (
     LedgerConflictError,
@@ -260,3 +266,145 @@ class TestGroupedRounds:
         assert mid > before
         ledger.commit_many([txn])
         assert ledger.version > mid
+
+
+class TestAccountingDifferential:
+    """Seeded random lifecycles against the vector-based reference formulas.
+
+    ``utilization()`` and ``environment()`` read raw floats and skip empty
+    pending defaults; after every step their results must equal, float
+    for float, what the plain ``allocated + pending`` and
+    ``available() - pending`` vector formulas give.
+    """
+
+    DEVICES = ("d1", "d2", "d3", "d4")
+
+    @staticmethod
+    def build_server(rng):
+        space = SmartSpace()
+        server = space.create_domain("diff")
+        for index, name in enumerate(TestAccountingDifferential.DEVICES):
+            capacity = {
+                "memory": round(rng.uniform(60.0, 140.0), 3),
+                "cpu": round(rng.uniform(0.5, 3.0), 3),
+            }
+            if index == 2:
+                capacity["disk"] = 0.0  # cap <= 0: never counts
+            if index == 3:
+                capacity["disk"] = 50.0  # a name no load asks for
+            server.join(
+                Device(name, DeviceClass.PC, capacity=ResourceVector(capacity))
+            )
+        names = TestAccountingDifferential.DEVICES
+        for i, first in enumerate(names):
+            for second in names[i + 1:]:
+                server.network.connect(first, second, LinkClass.FAST_ETHERNET)
+        return server
+
+    @staticmethod
+    def random_plan(rng, step):
+        graph = ServiceGraph(name=f"plan{step}")
+        count = rng.randint(1, 4)
+        for index in range(count):
+            resources = {
+                "memory": rng.choice([0.1, 0.2, 0.3, 1.7, 12.5])
+                * rng.randint(1, 20),
+                "cpu": rng.choice([0.0, 0.05, 0.1, 0.3]) * rng.randint(1, 4),
+            }
+            if rng.random() < 0.2:
+                resources["gpu"] = 0.0  # unknown to every device, zero demand
+            graph.add_component(
+                ServiceComponent(
+                    component_id=f"c{index}",
+                    service_type=f"t{index}",
+                    resources=ResourceVector(resources),
+                )
+            )
+            if index:
+                graph.add_edge(
+                    ServiceEdge(f"c{index - 1}", f"c{index}", rng.uniform(0.0, 30.0))
+                )
+        assignment = Assignment(
+            {
+                f"c{index}": rng.choice(TestAccountingDifferential.DEVICES)
+                for index in range(count)
+            }
+        )
+        return graph, assignment
+
+    @staticmethod
+    def raw(vector):
+        return {name: vector[name] for name in vector}
+
+    def reference_utilization(self, ledger):
+        worst = 0.0
+        for device in ledger.server.available_devices():
+            pending = self.raw(ledger._pending_device.get(device.device_id, {}))
+            allocated = self.raw(device.allocated)
+            used = {
+                n: allocated.get(n, 0.0) + pending.get(n, 0.0)
+                for n in set(allocated) | set(pending)
+            }
+            for name in device.capacity.names():
+                cap = device.capacity[name]
+                if cap <= 0:
+                    continue
+                worst = max(worst, min(1.0, used.get(name, 0.0) / cap))
+        return worst
+
+    def reference_availability(self, ledger, device):
+        pending = self.raw(ledger._pending_device.get(device.device_id, {}))
+        available = self.raw(device.available())
+        return {
+            n: max(0.0, available.get(n, 0.0) - pending.get(n, 0.0))
+            for n in set(available) | set(pending)
+        }
+
+    def check(self, ledger):
+        assert repr(ledger.utilization()) == repr(self.reference_utilization(ledger))
+        environment, devices = ledger.environment()
+        assert sorted(c.device_id for c in environment.devices) == sorted(
+            d.device_id for d in ledger.server.available_devices()
+        )
+        for candidate in environment.devices:
+            got = self.raw(candidate.available)
+            expected = self.reference_availability(ledger, devices[candidate.device_id])
+            assert set(got) == set(expected)
+            for name, value in expected.items():
+                assert repr(got[name]) == repr(value), (candidate.device_id, name)
+        assert ledger.audit() == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_lifecycles_match_reference(self, seed):
+        rng = random.Random(seed)
+        server = self.build_server(rng)
+        ledger = ReservationLedger(server)
+        prepared, committed = [], []
+        outcomes = {"prepared": 0, "conflicts": 0, "committed": 0, "released": 0}
+        self.check(ledger)
+        for step in range(150):
+            action = rng.choice(("prepare", "prepare", "commit", "abort", "release"))
+            if action == "prepare":
+                txn = ledger.begin(owner=f"s{step}")
+                graph, assignment = self.random_plan(rng, step)
+                try:
+                    ledger.prepare(txn, graph, assignment)
+                except LedgerConflictError:
+                    outcomes["conflicts"] += 1
+                    ledger.abort(txn)
+                else:
+                    outcomes["prepared"] += 1
+                    prepared.append(txn)
+            elif action == "commit" and prepared:
+                txn = prepared.pop(rng.randrange(len(prepared)))
+                ledger.commit(txn)
+                outcomes["committed"] += 1
+                committed.append(txn)
+            elif action == "abort" and prepared:
+                ledger.abort(prepared.pop(rng.randrange(len(prepared))))
+            elif action == "release" and committed:
+                ledger.release(committed.pop(rng.randrange(len(committed))))
+                outcomes["released"] += 1
+            self.check(ledger)
+        # The walk exercised every path, conflicts included.
+        assert all(count > 0 for count in outcomes.values()), outcomes
