@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -99,7 +98,7 @@ class ServiceComposer:
     detected during runtime" — it is stateless across calls except for the
     decomposition registry and correction policy it is configured with,
     plus a composition cache: composition is deterministic given the
-    request and the registry contents, so identical requests against an
+    request and the registry contents, so equal requests against an
     unchanged registry (the common case in a load sweep, where many
     sessions open the same application) reuse the previous result instead
     of re-running discovery and the OC algorithm.
@@ -131,7 +130,7 @@ class ServiceComposer:
         # vector, so distribution plans with observed demand.
         self.profiler = profiler
         self.cache_size = cache_size
-        self._cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._cache: "OrderedDict[tuple, CompositionResult]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -144,29 +143,29 @@ class ServiceComposer:
         ) as span:
             key = self._cache_key(request)
             if key is not None:
-                entry = self._cache.get(key)
-                if entry is not None:
-                    graph_ref, cached = entry
-                    # The key contains id(abstract_graph); confirm the weakly
-                    # referenced graph is still that exact object, so a recycled
-                    # id can never resurrect a dead graph's composition.
-                    if graph_ref() is request.abstract_graph:
-                        self._cache.move_to_end(key)
-                        self.cache_hits += 1
-                        span.set("cache_hit", True).set("success", cached.success)
-                        return _clone_result(cached)
-                    del self._cache[key]
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self._cache.move_to_end(key)
+                    self.cache_hits += 1
+                    span.set("cache_hit", True).set("success", cached.success)
+                    return _clone_result(cached)
                 self.cache_misses += 1
             result = self._compose_uncached(request)
             span.set("cache_hit", False).set("success", result.success)
             if key is not None:
-                self._cache[key] = (weakref.ref(request.abstract_graph), _clone_result(result))
+                self._cache[key] = _clone_result(result)
                 if len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
             return result
 
     def _cache_key(self, request: CompositionRequest) -> Optional[tuple]:
-        """Cache key for a request, or None when caching does not apply."""
+        """Cache key for a request, or None when caching does not apply.
+
+        The key is what composition reads: the abstract graph's content
+        (not its identity — each serving request brings its own equal
+        graph object), the request's QoS, client and pins, and the
+        content versions of the service and decomposition registries.
+        """
         if self.cache_size == 0 or self.profiler is not None:
             return None
         registry_version = getattr(self.discovery, "registry_version", None)
@@ -175,14 +174,14 @@ class ServiceComposer:
             # invalidated safely; always compose cold.
             return None
         return (
-            id(request.abstract_graph),
-            request.abstract_graph.version,
+            request.abstract_graph.signature(),
             request.user_qos,
             request.client_device_id,
             request.client_device_class,
             request.preferred_devices,
             tuple(sorted(request.resolved_roles().items())),
             registry_version,
+            self.decompositions.version,
         )
 
     def _compose_uncached(self, request: CompositionRequest) -> CompositionResult:

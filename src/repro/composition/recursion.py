@@ -39,10 +39,22 @@ class DecompositionRegistry:
     def __init__(self) -> None:
         self._rules: Dict[str, DecompositionRule] = {}
         self._expansion_ids = itertools.count(1)
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Change counter: increases on every :meth:`register`.
+
+        Recursive composition reads the rules, so the composer's
+        composition cache keys on this number: a rule added after a
+        failed compose makes the same request compose afresh.
+        """
+        return self._version
 
     def register(self, service_type: str, rule: DecompositionRule) -> None:
         """Register (or replace) the decomposition rule for a service type."""
         self._rules[service_type] = rule
+        self._version += 1
 
     def has_rule(self, service_type: str) -> bool:
         return service_type in self._rules

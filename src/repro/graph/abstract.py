@@ -103,28 +103,30 @@ class AbstractServiceGraph:
         self.name = name
         self._specs: Dict[str, AbstractComponentSpec] = {}
         self._edges: Dict[Tuple[str, str], ServiceEdge] = {}
-        self._version = 0
         for spec in specs:
             self.add_spec(spec)
         for edge in edges:
             self.add_edge(edge)
 
-    @property
-    def version(self) -> int:
-        """Change counter: increases when a spec or edge is added.
+    def signature(
+        self,
+    ) -> Tuple[str, Tuple[AbstractComponentSpec, ...], Tuple[ServiceEdge, ...]]:
+        """The graph's content as a hashable value, in insertion order.
 
-        Together with the graph's identity this keys the composer's
-        composition cache (specs and edges are immutable dataclasses, so
-        structural additions are the only possible mutations).
+        Two graphs with equal signatures compose identically: specs and
+        edges are immutable dataclasses, and the order matters because
+        discovery and instantiation both follow it. This keys the
+        composer's composition cache and the admission front cache, so
+        every request that brings its own equal graph object shares one
+        entry.
         """
-        return self._version
+        return (self.name, tuple(self._specs.values()), tuple(self._edges.values()))
 
     def add_spec(self, spec: AbstractComponentSpec) -> None:
         """Add an abstract service spec; raises on duplicate ids."""
         if spec.spec_id in self._specs:
             raise GraphValidationError(f"duplicate spec id {spec.spec_id!r}")
         self._specs[spec.spec_id] = spec
-        self._version += 1
 
     def add_edge(self, edge: ServiceEdge) -> None:
         """Connect two specs; raises on unknown endpoints or duplicates."""
@@ -136,7 +138,6 @@ class AbstractServiceGraph:
                 f"duplicate edge {edge.source!r} -> {edge.target!r}"
             )
         self._edges[edge.key] = edge
-        self._version += 1
 
     def connect(self, source: str, target: str, throughput_mbps: float = 0.0) -> None:
         """Convenience wrapper around :meth:`add_edge`."""

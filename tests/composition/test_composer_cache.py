@@ -60,15 +60,22 @@ def composer(registry):
     )
 
 
-def simple_abstract() -> AbstractServiceGraph:
+def simple_abstract(
+    server_type: str = "media_server",
+    player_output: QoSVector = QoSVector(),
+    throughput: float = 1.5,
+) -> AbstractServiceGraph:
     graph = AbstractServiceGraph(name="app")
-    graph.add_spec(AbstractComponentSpec("server", "media_server"))
+    graph.add_spec(AbstractComponentSpec("server", server_type))
     graph.add_spec(
         AbstractComponentSpec(
-            "player", "wav_player", pin=PinConstraint(role="client")
+            "player",
+            "wav_player",
+            required_output=player_output,
+            pin=PinConstraint(role="client"),
         )
     )
-    graph.connect("server", "player", 1.5)
+    graph.connect("server", "player", throughput)
     return graph
 
 
@@ -150,14 +157,125 @@ class TestCacheInvalidation:
         assert composer.cache_hits == 0
         assert composer.cache_misses == 3
 
-    def test_equal_fresh_graph_object_does_not_hit_stale_entry(self, composer):
-        request_a = CompositionRequest(simple_abstract(), client_device_id="pda1")
-        composer.compose(request_a)
-        # A different (if identical-looking) graph object is a different key.
-        request_b = CompositionRequest(simple_abstract(), client_device_id="pda1")
-        result = composer.compose(request_b)
+
+def summary(result, ordinals: bool = True):
+    """Everything a cold and a cached composition must agree on.
+
+    With ``ordinals=False`` inserted adapters' trailing ``#N`` (a
+    per-policy counter, so it differs between two composers) is dropped.
+    """
+    name = (lambda cid: cid) if ordinals else (lambda cid: cid.split("#")[0])
+    graph = result.graph
+    return {
+        "success": result.success,
+        "components": [
+            (name(c.component_id), c.pinned_to, c.resources) for c in graph
+        ] if graph is not None else None,
+        "edges": [
+            (name(e.source), name(e.target), e.throughput_mbps)
+            for e in graph.edges()
+        ] if graph is not None else None,
+        "missing": result.missing,
+        "dropped": result.dropped_optional,
+        "discovery_queries": result.discovery_queries,
+        "oc": (
+            result.oc_report.consistent,
+            result.oc_report.checked_edges,
+            result.oc_report.passes,
+            len(result.oc_report.issues),
+            len(result.oc_report.corrections),
+        ),
+    }
+
+
+def cold_composer(registry, decompositions=None) -> ServiceComposer:
+    catalog = TranscoderCatalog([Transcoding("MPEG", "WAV")])
+    return ServiceComposer(
+        DiscoveryService(registry),
+        CorrectionPolicy(catalog=catalog),
+        decompositions=decompositions,
+        cache_size=0,
+    )
+
+
+class TestContentKey:
+    """The cache keys on the abstract graph's content, not its identity."""
+
+    def test_equal_fresh_graph_object_hits(self, composer, registry):
+        composer.compose(
+            CompositionRequest(simple_abstract(), client_device_id="pda1")
+        )
+        fresh = CompositionRequest(simple_abstract(), client_device_id="pda1")
+        queries_before = composer.discovery.query_count
+        result = composer.compose(fresh)
+        assert composer.cache_hits == 1
+        assert composer.cache_misses == 1
+        assert composer.discovery.query_count == queries_before
+        cold = cold_composer(registry).compose(fresh)
+        assert cold.success
+        assert summary(result) == summary(cold)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            dict(server_type="wav_player"),
+            dict(player_output=QoSVector(frame_rate=20)),
+            dict(throughput=2.5),
+        ],
+        ids=["service_type", "required_output", "edge_throughput"],
+    )
+    def test_same_shape_different_content_misses(self, composer, registry, variant):
+        # Same name, same spec and edge counts: the collision a name plus
+        # change-counter key would have let through.
+        composer.compose(
+            CompositionRequest(simple_abstract(), client_device_id="pda1")
+        )
+        other = CompositionRequest(
+            simple_abstract(**variant), client_device_id="pda1"
+        )
+        result = composer.compose(other)
+        assert composer.cache_hits == 0
+        assert composer.cache_misses == 2
+        cold = cold_composer(registry).compose(other)
+        assert summary(result, ordinals=False) == summary(cold, ordinals=False)
+
+    def test_signature_follows_insertion_order(self):
+        forward = AbstractServiceGraph(name="app")
+        forward.add_spec(AbstractComponentSpec("a", "media_server"))
+        forward.add_spec(AbstractComponentSpec("b", "wav_player"))
+        backward = AbstractServiceGraph(name="app")
+        backward.add_spec(AbstractComponentSpec("b", "wav_player"))
+        backward.add_spec(AbstractComponentSpec("a", "media_server"))
+        assert forward.signature() == ("app", tuple(forward.specs()), ())
+        assert forward.signature() != backward.signature()
+
+
+class TestDecompositionInvalidation:
+    def test_new_decomposition_rule_invalidates_cached_failure(self, composer, registry):
+        abstract = AbstractServiceGraph(name="app")
+        abstract.add_spec(AbstractComponentSpec("server", "media_server"))
+        abstract.add_spec(
+            AbstractComponentSpec(
+                "player", "audio_player", pin=PinConstraint(role="client")
+            )
+        )
+        abstract.connect("server", "player", 1.5)
+        request = CompositionRequest(abstract, client_device_id="pda1")
+        failed = composer.compose(request)
+        assert not failed.success
+        assert failed.missing == ["player"]
+
+        def wav_only(spec):
+            return AbstractServiceGraph(
+                [AbstractComponentSpec("wav", "wav_player")], name="audio_player"
+            )
+
+        composer.decompositions.register("audio_player", wav_only)
+        result = composer.compose(request)
         assert result.success
         assert composer.cache_hits == 0
+        fresh = cold_composer(registry, decompositions=composer.decompositions)
+        assert fresh.compose(request).success
 
 
 class TestCacheControls:

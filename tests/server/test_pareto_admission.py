@@ -6,6 +6,7 @@ replays), utility-profile-ordered ladder walks on the unbatched *and*
 batched paths, and the entry-offset clamp on both paths.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from repro.apps.audio_on_demand import audio_request, build_audio_testbed
 from repro.discovery.registry import ServiceDescription
 from repro.distribution.pareto import ParetoPoint, dominates
-from repro.graph.service_graph import ServiceComponent
+from repro.graph.abstract import AbstractServiceGraph
+from repro.graph.service_graph import ServiceComponent, ServiceEdge
 from repro.resources.vectors import ResourceVector
 from repro.server.admission import FrontCache
 from repro.server.batching import BatchingDomainService, BatchPolicy
@@ -144,6 +146,31 @@ class TestClassFronts:
         assert [p.as_dict() for p in after] == [p.as_dict() for p in before]
         # And the fresh stamp serves hits again.
         service.admission.class_points(composition)
+        assert cache.hits == 1
+
+    def test_classes_differing_only_in_content_get_separate_entries(self):
+        testbed = build_audio_testbed()
+        service = make_service(testbed)
+        composition = audio_request(testbed, "desktop1")
+        graph = composition.abstract_graph
+        # Same name, same spec and edge counts; only a throughput differs.
+        heavier = AbstractServiceGraph(
+            graph.specs(),
+            [
+                ServiceEdge(e.source, e.target, e.throughput_mbps * 2)
+                for e in graph.edges()
+            ],
+            name=graph.name,
+        )
+        service.admission.class_points(composition)
+        service.admission.class_points(
+            dataclasses.replace(composition, abstract_graph=heavier)
+        )
+        cache = service.admission.front_cache
+        assert cache.misses == 2 and cache.hits == 0
+        assert len(cache) == 2
+        # An equal fresh graph object is the same class.
+        service.admission.class_points(audio_request(testbed, "desktop1"))
         assert cache.hits == 1
 
     def test_front_members_never_dominate_each_other(self):
