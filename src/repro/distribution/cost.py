@@ -15,7 +15,7 @@ critical resources".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.distribution.fit import DistributionEnvironment
 from repro.graph.cuts import Assignment
@@ -154,7 +154,7 @@ def marginal_cost(
             return float("inf")
         increment += weight * demand / supply
     if weights.network_weight > 0.0:
-        for neighbor_id, throughput, outgoing in _incident_edges(graph, component_id):
+        for neighbor_id, throughput, outgoing in incident_edges(graph, component_id):
             neighbor_device = assignment.get(neighbor_id)
             if neighbor_device is None or neighbor_device == device_id:
                 continue
@@ -173,7 +173,14 @@ def marginal_cost(
     return increment
 
 
-def _incident_edges(graph: ServiceGraph, component_id: str):
+def incident_edges(
+    graph: ServiceGraph, component_id: str
+) -> Iterator[Tuple[str, float, bool]]:
+    """Yield ``(neighbor, throughput, outgoing)`` for every incident edge.
+
+    Successors first, then predecessors, each in the graph's sorted order:
+    the order every incremental evaluator sums network terms in.
+    """
     for succ in graph.successors(component_id):
         yield succ, graph.edge(component_id, succ).throughput_mbps, True
     for pred in graph.predecessors(component_id):
