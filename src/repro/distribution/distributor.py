@@ -88,11 +88,14 @@ class DistributionStrategy(ABC):
     ) -> DistributionResult:
         """Package a placement dict into a checked result.
 
-        When the strategy hands over its :class:`DeltaEvaluator` and that
-        evaluator reports a clean state, its incrementally maintained cost
-        is used directly, skipping the O(V+E) final re-walk. Any reported
-        violation falls back to the full path so the result carries the
-        canonical ``fit_violations`` diagnostics.
+        When the strategy hands over its :class:`DeltaEvaluator` (the local
+        search does) and that evaluator reports a clean state, its
+        incrementally maintained cost is used directly, skipping the
+        O(V+E) final re-walk. Otherwise the result carries the canonical
+        ``fit_violations`` diagnostics and the ``cost_aggregation`` cost —
+        infinite when a component sits on a device outside the environment.
+        The heuristic does not come through here: it scores its placement
+        in one pass of its own (``HeuristicDistributor._score``).
 
         A feasible result is scored on the multi-objective axes; ``front``
         overrides the default singleton front (the local search passes
@@ -125,7 +128,11 @@ class DistributionStrategy(ABC):
                 front=front if front is not None else (objectives,),
             )
         violations = tuple(fit_violations(graph, assignment, environment))
-        cost = cost_aggregation(graph, assignment, environment, weights)
+        cost = (
+            float("inf")
+            if any(v.kind == "placement" for v in violations)
+            else cost_aggregation(graph, assignment, environment, weights)
+        )
         objectives = (
             assignment_objectives(graph, assignment, environment, weights)
             if not violations

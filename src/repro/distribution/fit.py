@@ -113,10 +113,6 @@ class DistributionEnvironment:
             return float("inf")
         return self._bandwidth_fn(first, second)
 
-    def total_capacity(self) -> ResourceVector:
-        """Union capacity across all candidate devices."""
-        return ResourceVector.sum(d.available for d in self.devices)
-
     def __len__(self) -> int:
         return len(self.devices)
 

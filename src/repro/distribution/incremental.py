@@ -18,10 +18,12 @@ evaluators of the distribution tier:
   :class:`~repro.distribution.optimal.OptimalDistributor`;
 - :class:`DeltaEvaluator` — complete-assignment bookkeeping with atomic
   multi-component move previews, used by
-  :class:`~repro.distribution.local_search.LocalSearchDistributor` (to
-  score relocations and swaps) and
-  :class:`~repro.distribution.heuristic.HeuristicDistributor` (to skip the
-  final full re-evaluation).
+  :class:`~repro.distribution.local_search.LocalSearchDistributor` to
+  score relocations and swaps.
+
+The heuristic needs neither: it scores its one final placement in a
+single pass of its own (``HeuristicDistributor._score``), which sums the
+cost in the same order :class:`DeltaEvaluator` would.
 
 Both read what is fixed for one ``distribute`` call (incident lists,
 device availabilities, bandwidth per ordered device pair) from tables
@@ -255,10 +257,8 @@ class DeltaEvaluator:
 
     Feasibility semantics mirror ``fit_violations`` (demand may exceed
     supply by at most :data:`FIT_TOLERANCE`), assuming the *current* state
-    is feasible — the local-search invariant. Components may be placed on
-    devices outside the environment (an infeasible overflow the heuristic
-    produces deliberately); such states report violations and fall back to
-    the full evaluation path.
+    is feasible — the local-search invariant. Every placement must name a
+    device of the environment; :meth:`place` rejects any other.
     """
 
     def __init__(
@@ -283,7 +283,6 @@ class DeltaEvaluator:
             device_id: {} for device_id in self._avail
         }
         self.pair_usage: Dict[Tuple[str, str], float] = {}
-        self._unknown_devices: Set[str] = set()
         self._cost = 0.0
         self._inf_terms = 0
         #: Preview telemetry: every call, split into hits (a finite cost
@@ -300,7 +299,7 @@ class DeltaEvaluator:
     @property
     def cost(self) -> float:
         """Equation 4 cost of the current placements."""
-        if self._inf_terms or self._unknown_devices:
+        if self._inf_terms:
             return float("inf")
         return self._cost
 
@@ -315,8 +314,6 @@ class DeltaEvaluator:
         the caller should fall back to ``fit_violations`` for the
         canonical per-violation diagnostics.
         """
-        if self._unknown_devices:
-            return True
         if len(self.placements) != len(self.graph):
             return True
         for component in self.graph:
@@ -339,10 +336,9 @@ class DeltaEvaluator:
         """Add one placement unconditionally, updating loads and cost."""
         if component_id in self.placements:
             raise ValueError(f"component {component_id!r} is already placed")
-        self.placements[component_id] = device_id
         if device_id not in self._avail:
-            self._unknown_devices.add(component_id)
-            return
+            raise ValueError(f"unknown device {device_id!r}")
+        self.placements[component_id] = device_id
         available = self._avail[device_id]
         load = self.loads[device_id]
         for name, demand in self.graph.component(component_id).resources.items():
@@ -355,7 +351,6 @@ class DeltaEvaluator:
             if (
                 neighbor_device is None
                 or neighbor_device == device_id
-                or neighbor_id in self._unknown_devices
                 or throughput == 0.0
             ):
                 continue
@@ -370,9 +365,6 @@ class DeltaEvaluator:
     def unplace(self, component_id: str) -> None:
         """Remove one placement, reversing :meth:`place`'s bookkeeping."""
         device_id = self.placements.pop(component_id)
-        if component_id in self._unknown_devices:
-            self._unknown_devices.discard(component_id)
-            return
         available = self._avail[device_id]
         load = self.loads[device_id]
         for name, demand in self.graph.component(component_id).resources.items():
@@ -389,7 +381,6 @@ class DeltaEvaluator:
             if (
                 neighbor_device is None
                 or neighbor_device == device_id
-                or neighbor_id in self._unknown_devices
                 or throughput == 0.0
             ):
                 continue
@@ -492,7 +483,7 @@ class DeltaEvaluator:
             old_device = self.placements[component_id]
             if old_device == new_device:
                 continue
-            if new_device not in self._avail or old_device not in self._avail:
+            if new_device not in self._avail:
                 return None, 0.0, 0
             old_avail = self._avail[old_device]
             new_avail = self._avail[new_device]
@@ -550,7 +541,7 @@ class DeltaEvaluator:
                 if throughput == 0.0:
                     continue
                 neighbor_old = self.placements.get(neighbor_id)
-                if neighbor_old is None or neighbor_id in self._unknown_devices:
+                if neighbor_old is None:
                     continue
                 old_device = self.placements[component_id]
                 new_device = moves[component_id]

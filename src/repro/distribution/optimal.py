@@ -24,8 +24,9 @@ from typing import Dict, List, Optional
 
 from repro.distribution.cost import CostWeights
 from repro.distribution.distributor import DistributionResult, DistributionStrategy
-from repro.distribution.fit import DistributionEnvironment
+from repro.distribution.fit import DistributionEnvironment, FitViolation
 from repro.distribution.incremental import SearchState
+from repro.graph.cuts import Assignment
 from repro.graph.service_graph import ServiceGraph
 from repro.observability.tracing import get_tracer
 from repro.resources.vectors import weighted_magnitude
@@ -77,6 +78,20 @@ class OptimalDistributor(DistributionStrategy):
         weights: CostWeights,
     ) -> DistributionResult:
         devices = environment.device_ids()
+        known = set(devices)
+        unknown_pins = tuple(
+            FitViolation("placement", c.component_id, f"unknown device {c.pinned_to}")
+            for c in graph
+            if c.pinned_to is not None and c.pinned_to not in known
+        )
+        if unknown_pins:
+            return DistributionResult(
+                strategy=self.name,
+                assignment=Assignment({}),
+                feasible=False,
+                cost=float("inf"),
+                violations=unknown_pins,
+            )
         state = SearchState(graph, environment, weights, devices)
         # The component placed at each depth and the devices it may take.
         steps = []

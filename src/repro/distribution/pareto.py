@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: Dominance tolerance: objective gaps smaller than this are float noise.
 EPSILON = 1e-9
@@ -298,14 +298,43 @@ def evaluator_objectives(
     resources + pairs), no graph walk — so the local search can afford
     one point per committed move.
     """
+    return load_objectives(
+        evaluator.loads.items(),
+        evaluator._avail,
+        evaluator.pair_usage,
+        evaluator._bandwidth,
+        len(set(evaluator.placements.values())),
+        weights,
+        fidelity_loss,
+        key,
+    )
+
+
+def load_objectives(
+    loads: Iterable[Tuple[str, Mapping[str, float]]],
+    available: Mapping[str, Mapping[str, float]],
+    traffic: Mapping[Tuple[str, str], float],
+    bandwidth: Mapping[Tuple[str, str], float],
+    devices_used: int,
+    weights,
+    fidelity_loss: float = 0.0,
+    key: Tuple[str, ...] = (),
+) -> ParetoPoint:
+    """Score summed loads and cut throughput on the four axes.
+
+    ``loads`` yields ``(device, demand by resource)`` in the order the
+    end-system term is summed; ``available`` maps each of those devices
+    to its availability. ``traffic`` maps ordered device pairs to their
+    cut throughput and ``bandwidth`` to their supply.
+    """
     resource = 0.0
-    for device_id, load in evaluator.loads.items():
-        available = evaluator._avail[device_id]
+    for device_id, load in loads:
+        supplies = available[device_id]
         for name, demand in load.items():
             weight = weights.weight_of(name)
             if weight == 0.0 or demand == 0.0:
                 continue
-            supply = available.get(name, 0.0)
+            supply = supplies.get(name, 0.0)
             if supply <= 0.0:
                 resource = float("inf")
                 break
@@ -314,16 +343,15 @@ def evaluator_objectives(
             break
     latency = 0.0
     cut_mbps = 0.0
-    for pair, demand in evaluator.pair_usage.items():
+    for pair, demand in traffic.items():
         if demand == 0.0:
             continue
         cut_mbps += demand
-        supply = evaluator._bandwidth[pair]
+        supply = bandwidth[pair]
         if supply <= 0.0:
             latency = float("inf")
         elif supply != float("inf") and latency != float("inf"):
             latency += demand / supply
-    devices_used = len(set(evaluator.placements.values()))
     return ParetoPoint(
         latency=latency,
         fidelity_loss=fidelity_loss,
@@ -367,6 +395,7 @@ __all__ = [
     "dominates",
     "evaluator_objectives",
     "level_prior",
+    "load_objectives",
     "profile_names",
     "utility_profile",
 ]

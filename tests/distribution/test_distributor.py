@@ -1,5 +1,7 @@
 """Unit tests for the ServiceDistributor facade."""
 
+import random
+
 import pytest
 
 from repro.distribution.cost import CostWeights
@@ -8,8 +10,15 @@ from repro.distribution.distributor import (
     ServiceDistributor,
     validate_pins,
 )
-from repro.distribution.fit import CandidateDevice, DistributionEnvironment
+from repro.distribution.baselines import FixedDistributor, RandomDistributor
+from repro.distribution.fit import (
+    CandidateDevice,
+    DistributionEnvironment,
+    FitViolation,
+)
 from repro.distribution.heuristic import HeuristicDistributor
+from repro.distribution.local_search import LocalSearchDistributor
+from repro.distribution.optimal import OptimalDistributor
 from repro.domain.device import Device
 from repro.graph.cuts import Assignment
 from repro.network.links import LinkClass
@@ -37,6 +46,31 @@ class TestValidatePins:
         graph = chain_graph("a")
         graph.update_component(graph.component("a").with_pin("big"))
         validate_pins(graph, two_device_env)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        HeuristicDistributor(),
+        LocalSearchDistributor(),
+        LocalSearchDistributor(base=OptimalDistributor()),
+        OptimalDistributor(),
+        RandomDistributor(rng=random.Random(0), attempts=3),
+        FixedDistributor(),
+    ],
+    ids=["heuristic", "local-search", "local-search-optimal", "optimal", "random", "fixed"],
+)
+def test_strategy_reports_a_pin_to_an_unknown_device(strategy, two_device_env):
+    """Called directly (no ``validate_pins``), a strategy answers infeasible."""
+    graph = chain_graph("a", "b")
+    graph.update_component(graph.component("b").with_pin("ghost"))
+    result = strategy.distribute(graph, two_device_env, CostWeights())
+    assert not result.feasible
+    assert result.cost == float("inf")
+    assert result.violations == (
+        FitViolation("placement", "b", "unknown device ghost"),
+    )
+    assert result.objectives is None and result.front == ()
 
 
 class TestFacade:

@@ -89,11 +89,6 @@ class TestEnvironment:
         )
         assert env.bandwidth("a", "b") == 7.0
 
-    def test_total_capacity(self, two_device_env):
-        total = two_device_env.total_capacity()
-        assert total["memory"] == 288.0
-        assert total["cpu"] == 4.0
-
 
 class TestFitViolations:
     def test_fitting_assignment_has_no_violations(self, two_device_env):

@@ -153,17 +153,19 @@ class TestDeltaEquivalence:
             moves = {rng.choice(components): rng.choice(devices)}
             _assert_move_equivalent(evaluator, graph, environment, weights, moves)
 
-    def test_unknown_device_placement_reports_violation(self, two_device_env):
+    def test_unknown_device_placement_is_rejected(self, two_device_env):
         from tests.conftest import chain_graph
 
         graph = chain_graph("a", "b")
+        with pytest.raises(ValueError, match="unknown device"):
+            DeltaEvaluator(
+                graph,
+                two_device_env,
+                placements={"a": "big", "b": "not-a-device"},
+            )
         evaluator = DeltaEvaluator(
-            graph,
-            two_device_env,
-            placements={"a": "big", "b": "not-a-device"},
+            graph, two_device_env, placements={"a": "big", "b": "big"}
         )
-        assert evaluator.has_violations()
-        assert evaluator.cost == float("inf")
         assert evaluator.preview({"a": "not-a-device"}) is None
 
 
